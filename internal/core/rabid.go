@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -212,6 +213,10 @@ type state struct {
 	// across nets and passes and, through Params.WorkspacePool, across
 	// runs.
 	ws *route.Workspace
+	// splice and processed are Stage 4's reusable two-path scratch (see
+	// reworkNet).
+	splice    splicer
+	processed [][2]geom.Pt
 }
 
 // Run executes the full RABID pipeline on the circuit.
@@ -711,14 +716,15 @@ func (s *state) reworkNet(i int) error {
 			s.obs.Observe(obs.Event{Kind: obs.KindSpanEnd, Scope: "net.rework", Stage: s.stage, Net: n.ID, Dur: obs.Since(s.obs, t0)})
 		}()
 	}
-	processed := map[[2]geom.Pt]bool{}
+	// processed holds the (head, tail) tile pairs already reworked, in a
+	// slice reused across nets.
+	s.processed = s.processed[:0]
 	for {
 		rt := s.routes[i]
 		paths := rt.TwoPaths()
 		var pick []int
 		for _, p := range paths {
-			key := [2]geom.Pt{rt.Tile[p[0]], rt.Tile[p[len(p)-1]]}
-			if !processed[key] {
+			if !slices.Contains(s.processed, [2]geom.Pt{rt.Tile[p[0]], rt.Tile[p[len(p)-1]]}) {
 				pick = p
 				break
 			}
@@ -728,7 +734,7 @@ func (s *state) reworkNet(i int) error {
 		}
 		head := rt.Tile[pick[0]]
 		tail := rt.Tile[pick[len(pick)-1]]
-		processed[[2]geom.Pt{head, tail}] = true
+		s.processed = append(s.processed, [2]geom.Pt{head, tail})
 		nPaths++
 
 		// Remove the whole net's wires, rebuild the tree with the new
@@ -757,58 +763,15 @@ func (s *state) reworkNet(i int) error {
 			route.AddUsage(s.g, rt)
 			continue
 		}
-		nt, err := spliceTwoPath(rt, pick, newPath)
+		nt, err := s.splice.spliceTwoPath(s.g, rt, pick, newPath)
 		if err != nil {
 			route.AddUsage(s.g, rt)
 			return err
 		}
 		s.routes[i] = nt
 		route.AddUsage(s.g, nt)
+		s.splice.recycle(rt) // the replaced tree is referenced nowhere else
 	}
-}
-
-// spliceTwoPath rebuilds the route tree with the interior of the two-path
-// `pick` replaced by newPath (which runs head..tail inclusive).
-func spliceTwoPath(rt *rtree.Tree, pick []int, newPath []geom.Pt) (*rtree.Tree, error) {
-	head := rt.Tile[pick[0]]
-	tail := rt.Tile[pick[len(pick)-1]]
-	if newPath[0] != head || newPath[len(newPath)-1] != tail {
-		return nil, fmt.Errorf("core: splice path endpoints %v..%v, want %v..%v",
-			newPath[0], newPath[len(newPath)-1], head, tail)
-	}
-	interior := map[geom.Pt]bool{}
-	for _, v := range pick[1 : len(pick)-1] {
-		interior[rt.Tile[v]] = true
-	}
-	parent := map[geom.Pt]geom.Pt{}
-	for v := 1; v < rt.NumNodes(); v++ {
-		t := rt.Tile[v]
-		if interior[t] || t == tail {
-			continue // dropped interior; tail re-parents below
-		}
-		parent[t] = rt.Tile[rt.Parent[v]]
-	}
-	prev := head
-	for _, t := range newPath[1:] {
-		if t == tail {
-			parent[tail] = prev
-			prev = t
-			continue
-		}
-		if _, ok := parent[t]; !ok && t != rt.Tile[0] {
-			parent[t] = prev
-		}
-		prev = t
-	}
-	sinks := make([]geom.Pt, len(rt.SinkNode))
-	for k, sn := range rt.SinkNode {
-		sinks[k] = rt.Tile[sn]
-	}
-	nt, err := rtree.FromParentMap(rt.Tile[0], parent, sinks)
-	if err != nil {
-		return nil, err
-	}
-	return nt.Prune(), nil
 }
 
 // dpLibrary converts the planning library into the DP's per-net view for a

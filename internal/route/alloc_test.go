@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/obs"
 )
 
 // TestRerouteZeroAllocSteadyState enforces the headline contract for every
@@ -80,6 +81,9 @@ func TestRipupPassAllocBound(t *testing.T) {
 // TestBufferAwarePathZeroAllocSteadyState: Stage 4's maze search shares the
 // same workspace discipline as Reroute, under every kernel (astar arms its
 // residual-scan heuristic here, so this also pins that scan as alloc-free).
+// The instance is one where dominance pruning fires — the search pops
+// fewer states than the unpruned reference — so the pruning path is held
+// to the same zero-alloc bound.
 func TestBufferAwarePathZeroAllocSteadyState(t *testing.T) {
 	for _, kernel := range Kernels() {
 		t.Run(kernel, func(t *testing.T) {
@@ -93,6 +97,19 @@ func TestBufferAwarePathZeroAllocSteadyState(t *testing.T) {
 			blocked[g.TileIndex(head)] = false
 			opt := DefaultOptions()
 			opt.Kernel = kernel
+			probe := opt
+			m := obs.NewMetrics()
+			probe.Obs = m
+			if _, err := BufferAwarePath(g, tail, head, 6, blocked, probe, NewWorkspace()); err != nil {
+				t.Fatal(err)
+			}
+			_, _, refPops, err := bapReference(g, tail, head, 6, blocked, opt, NewWorkspace())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pops := int(m.Counter("route.bap.pops")); pops >= refPops {
+				t.Fatalf("BufferAwarePath[%s]: %d pops, unpruned reference %d: pruning does not fire on this instance", kernel, pops, refPops)
+			}
 			ws := NewWorkspace()
 			for i := 0; i < 2; i++ {
 				if _, err := BufferAwarePath(g, tail, head, 6, blocked, opt, ws); err != nil {

@@ -317,39 +317,13 @@ func Reroute(g *tile.Graph, n *netlist.Net, opt Options, ws *Workspace) (*rtree.
 	// node carries a sink. Verify the invariant cheaply instead of paying
 	// Prune's rebuild per net; the fallback keeps the contract honest if
 	// the invariant is ever broken.
-	if treeNeedsPrune(rt, ws) {
+	var needs bool
+	if needs, ws.nodeCnt = rt.HasPrunableLeaf(ws.nodeCnt); needs { //rabid:allow allocfree inlined grow path: the child-count scratch reallocates only until it fits the largest tree
 		pruned := rt.Prune()
 		ws.Recycle(rt)
 		rt = pruned
 	}
 	return rt, nil
-}
-
-// treeNeedsPrune reports whether rt has a childless non-root node carrying
-// no sink — the only nodes rtree.Prune removes.
-func treeNeedsPrune(rt *rtree.Tree, ws *Workspace) bool {
-	n := rt.NumNodes()
-	cnt := ws.nodeCnt
-	if cap(cnt) < n {
-		cnt = make([]int32, n)
-	}
-	cnt = cnt[:n]
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	ws.nodeCnt = cnt
-	for v := 1; v < n; v++ {
-		cnt[rt.Parent[v]]++
-	}
-	for _, sn := range rt.SinkNode {
-		cnt[sn] = -1 // sink nodes are never prunable
-	}
-	for v := 1; v < n; v++ {
-		if cnt[v] == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // AddUsage registers one wire per route-tree edge on the graph. Edges are
@@ -591,6 +565,13 @@ func siteCostClamped(g *tile.Graph, v int, opt Options) float64 {
 // mask; nil blocks nothing) are not entered. The returned path runs from
 // head to tail inclusive.
 //
+// Dominated labels are dropped: a label (w, j) whose tile already holds a
+// label (w, j') with j' < j at a distance no greater is never pushed, and
+// never expanded if it was pushed before the dominating label appeared.
+// Transition costs do not depend on j, so every continuation of (w, j) is
+// available to (w, j') at no greater cost; the pruning changes no result
+// (see DESIGN.md, "Search kernels").
+//
 // ws supplies the reusable (tile, j) state arrays; nil is allowed. The
 // returned path aliases the workspace's traceback buffer and is valid only
 // until the workspace's next use — callers that keep paths must copy.
@@ -659,6 +640,9 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 			break
 		}
 		ds := ws.sDist[s]
+		if ws.bapDominated(v*L, j, ds) {
+			continue // a lower-j label at v settled at no greater distance
+		}
 		nbrs, edges := g.Adjacency(v)
 		for x, w32 := range nbrs {
 			w := int(w32)
@@ -681,7 +665,7 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 					ws.sDist[ns] = math.Inf(1)
 					ws.sDone[ns] = false
 				}
-				if nd := ds + wc; nd < ws.sDist[ns] {
+				if nd := ds + wc; nd < ws.sDist[ns] && !ws.bapDominated(w*L, j+1, nd) {
 					ws.sDist[ns] = nd
 					//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 					ws.sPred[ns] = int32(s)
@@ -697,6 +681,11 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 				ws.sStamp[ns] = ep
 				ws.sDist[ns] = math.Inf(1)
 				ws.sDone[ns] = false
+			}
+			// Site costs are positive, so an offer whose wire part alone
+			// cannot beat the label skips the Eq. (2) evaluation.
+			if ds+wc >= ws.sDist[ns] {
+				continue
 			}
 			if nd := ds + wc + siteCostClamped(g, w, opt); nd < ws.sDist[ns] {
 				ws.sDist[ns] = nd
@@ -727,4 +716,17 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 	ws.path = rev
 	// rev is head..tail already (we traced from the head state back).
 	return rev, nil
+}
+
+// bapDominated reports whether a label at distance d for state row+j is
+// dominated: some state row+j' with j' < j already holds a (tentative or
+// final) distance no greater than d. row is the tile's first state index
+// (tile*L); unstamped states hold no label.
+func (ws *Workspace) bapDominated(row, j int, d float64) bool {
+	for s := row; s < row+j; s++ {
+		if ws.sStamp[s] == ws.epoch && ws.sDist[s] <= d {
+			return true
+		}
+	}
+	return false
 }

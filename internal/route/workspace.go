@@ -77,7 +77,7 @@ type Workspace struct {
 
 	blocked []bool    // Stage-4 blocked-tile mask, managed by the caller
 	heat    []float64 // per-pass congestion snapshot buffer
-	nodeCnt []int32   // per-node child counts for the needs-prune check
+	nodeCnt []int32   // scratch for rtree.Tree.HasPrunableLeaf
 
 	// Speculative-routing state (the parallel rip-up protocol; see
 	// Parallel and rerouteSpec). active only inside rerouteSpec: edge

@@ -208,6 +208,31 @@ func (t *Tree) Validate(inGrid func(geom.Pt) bool) error {
 	return nil
 }
 
+// HasPrunableLeaf reports whether Prune would remove any node: a childless
+// non-root node carrying no sink. cnt is scratch for the per-node child
+// counts; it is grown as needed and returned, so a caller that keeps it
+// across calls checks without allocating.
+func (t *Tree) HasPrunableLeaf(cnt []int32) (bool, []int32) {
+	n := len(t.Tile)
+	if cap(cnt) < n {
+		cnt = make([]int32, n) //rabid:allow allocfree amortized grow path: the count buffer reallocates only until it fits the largest tree
+	}
+	cnt = cnt[:n]
+	clear(cnt)
+	for v := 1; v < n; v++ {
+		cnt[t.Parent[v]]++
+	}
+	for _, s := range t.SinkNode {
+		cnt[s] = -1 // sink nodes are never prunable
+	}
+	for v := 1; v < n; v++ {
+		if cnt[v] == 0 {
+			return true, cnt
+		}
+	}
+	return false, cnt
+}
+
 // Prune removes leaf tiles that carry no sink and are not the root,
 // repeating until none remain. Routers that graft paths can leave such
 // stubs behind. It returns a new tree; the receiver is unchanged.

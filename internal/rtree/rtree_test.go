@@ -170,9 +170,16 @@ func TestPruneRemovesStubs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	has, cnt := tr.HasPrunableLeaf(nil)
+	if !has {
+		t.Error("HasPrunableLeaf missed the stub")
+	}
 	pruned := tr.Prune()
 	if pruned.NumNodes() != 3 {
 		t.Fatalf("pruned to %d nodes, want 3", pruned.NumNodes())
+	}
+	if has, _ := pruned.HasPrunableLeaf(cnt); has {
+		t.Error("HasPrunableLeaf reports a stub after Prune")
 	}
 	if err := pruned.Validate(nil); err != nil {
 		t.Fatal(err)
@@ -194,6 +201,9 @@ func TestPruneKeepsSinkLeaves(t *testing.T) {
 	pruned := tr.Prune()
 	if pruned.NumNodes() != tr.NumNodes() {
 		t.Error("Prune removed needed nodes")
+	}
+	if has, _ := tr.HasPrunableLeaf(nil); has {
+		t.Error("HasPrunableLeaf reports a stub on a tree whose leaves all carry sinks")
 	}
 }
 
