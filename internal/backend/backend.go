@@ -100,8 +100,8 @@ func Names() []string {
 //     address (the cache additionally aliases "dial" with "heap" — see
 //     cache.PlanKey — because the dial kernel is byte-identical by
 //     construction);
-//   - the mcf engine knobs (MCFPhases, MCFEpsilon) are validated here so a
-//     bad request fails before it is keyed or queued.
+//   - every parameter domain is then checked by core.Params.Validate, so
+//     a bad request fails before it is keyed or queued.
 //
 // Normalize must run before core.PlanKey / cache admission; the server and
 // facade both do.
@@ -112,42 +112,23 @@ func Normalize(p core.Params) (core.Params, error) {
 	if _, ok := registry[p.Backend]; !ok {
 		return p, fmt.Errorf("backend: unknown engine %q (have %v)", p.Backend, Names())
 	}
-	switch p.SearchKernel {
-	case "":
+	if p.SearchKernel == "" {
 		p.SearchKernel = route.KernelHeap
-	case route.KernelHeap, route.KernelDial, route.KernelAstar:
-	default:
-		return p, fmt.Errorf("backend: unknown search kernel %q (have %v)", p.SearchKernel, route.Kernels())
 	}
-	switch p.SteinerMode {
-	case "":
+	if p.SteinerMode == "" {
 		p.SteinerMode = core.SteinerPD
-	case core.SteinerPD, core.SteinerCostDist:
-	default:
-		return p, fmt.Errorf("backend: unknown steiner mode %q (have %v)", p.SteinerMode, core.SteinerModes())
-	}
-	if p.MCFPhases < 0 {
-		return p, fmt.Errorf("backend: mcf phases %d < 0", p.MCFPhases)
-	}
-	if p.MCFEpsilon != 0 && (p.MCFEpsilon <= 0 || p.MCFEpsilon >= 1) {
-		return p, fmt.Errorf("backend: mcf epsilon %g outside (0,1)", p.MCFEpsilon)
 	}
 	switch p.Backend {
 	case NameRabidLib:
 		if len(p.Library) == 0 {
 			p.Library = tech.DefaultPlanningLibrary018()
 		}
-		for i := range p.Library {
-			if err := p.Library[i].Validate(); err != nil {
-				return p, fmt.Errorf("backend: library gate %d: %w", i, err)
-			}
-		}
 	default:
 		if len(p.Library) > 0 {
 			return p, fmt.Errorf("backend: engine %q does not take a buffer library (use %q)", p.Backend, NameRabidLib)
 		}
 	}
-	return p, nil
+	return p, p.Validate()
 }
 
 // Plan normalizes p, resolves the engine, and runs it.

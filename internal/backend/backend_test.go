@@ -228,12 +228,22 @@ func TestPlanDeterministic(t *testing.T) {
 	}
 }
 
-// TestPlanUnknownEngine checks Plan surfaces Normalize errors.
+// TestPlanUnknownEngine checks Plan surfaces Normalize errors: an unknown
+// engine, and a negative router weight on every engine (a run would grow
+// the wavefront's queue until the process runs out of memory).
 func TestPlanUnknownEngine(t *testing.T) {
 	c := testCircuit(t, 5, 5, 6, 6, 3, 4)
 	p := core.DefaultParams()
 	p.Backend = "bogus"
 	if _, err := Plan(context.Background(), c, p); err == nil {
 		t.Fatal("Plan with unknown engine succeeded")
+	}
+	for _, name := range Names() {
+		p := core.DefaultParams()
+		p.Backend = name
+		p.RouteOpt.LengthWeight = -1
+		if _, err := Plan(context.Background(), c, p); err == nil || !strings.Contains(err.Error(), "LengthWeight") {
+			t.Errorf("%s: Plan with negative length weight = %v, want a validation error", name, err)
+		}
 	}
 }

@@ -102,13 +102,11 @@ type Params struct {
 	Library []tech.LibGate
 	// Workers bounds the goroutines used for the parallel sections: the
 	// order-independent per-net work (Stage-1 Steiner construction, the
-	// delay refresh after every stage, the per-net snapshot accounting)
-	// and the Stage-2 speculative rip-up engine (route.Parallel). 0 (the
-	// default) means GOMAXPROCS. Results are bit-identical for every value
-	// — per-net workers write only to their own net's slot, shared
-	// tile-graph mutation stays sequential, and the speculative engine
-	// commits in net order with conflict replay (see DESIGN.md, "Parallel
-	// execution model" and "Parallel rip-up-and-reroute").
+	// delay refresh after every stage, the per-net snapshot accounting).
+	// 0 (the default) means GOMAXPROCS. Results are bit-identical for every
+	// value — per-net workers write only to their own net's slot, and
+	// every tile-graph mutation, Stage-2 rip-up included, stays sequential
+	// (see DESIGN.md, "Parallel execution model").
 	Workers int
 	// Observer receives the run's structured telemetry: trace spans,
 	// counters, gauges, and congestion-heat snapshots (see internal/obs).
@@ -206,12 +204,9 @@ type state struct {
 	delays   []float64 // per-net max sink delay, for ordering
 	obs      obs.Observer
 	stage    int // current pipeline stage, stamped on emitted events
-	// ws is the run's primary router workspace: it serves the sequential
-	// routing of Stages 2 and 4 — including the Stage-2 commit/replay
-	// section of the speculative engine, whose concurrent workers draw
-	// their own workspaces from Params.WorkspacePool — and is reused
-	// across nets and passes and, through Params.WorkspacePool, across
-	// runs.
+	// ws is the run's router workspace: it serves the sequential routing
+	// of Stages 2 and 4 and is reused across nets and passes and, through
+	// Params.WorkspacePool, across runs.
 	ws *route.Workspace
 	// splice and processed are Stage 4's reusable two-path scratch (see
 	// reworkNet).
@@ -275,6 +270,53 @@ func RunMCFContext(ctx context.Context, c *netlist.Circuit, p Params) (*Result, 
 	}, false)
 }
 
+// Validate checks the parameter domains every planning engine relies on,
+// so a bad value fails up front with a precise message instead of deep in
+// a stage. It is the one boundary check: newState calls it for every run,
+// and backend.Normalize calls it for service requests before any content
+// key is derived. The router weights matter most: a negative or NaN edge cost
+// breaks the Dijkstra settling argument, and the search would grow its
+// queue without bound.
+func (p Params) Validate() error {
+	if !(p.Alpha >= 0 && p.Alpha <= 1) {
+		return fmt.Errorf("core: Alpha %g outside [0,1]", p.Alpha)
+	}
+	if !(p.RouteOpt.Alpha >= 0 && p.RouteOpt.Alpha <= 1) {
+		return fmt.Errorf("core: RouteOpt.Alpha %g outside [0,1]", p.RouteOpt.Alpha)
+	}
+	if !(p.RouteOpt.LengthWeight >= 0) || math.IsInf(p.RouteOpt.LengthWeight, 1) {
+		return fmt.Errorf("core: RouteOpt.LengthWeight %g must be finite and >= 0", p.RouteOpt.LengthWeight)
+	}
+	if !(p.RouteOpt.OverflowPenalty >= 0) || math.IsInf(p.RouteOpt.OverflowPenalty, 1) {
+		return fmt.Errorf("core: RouteOpt.OverflowPenalty %g must be finite and >= 0", p.RouteOpt.OverflowPenalty)
+	}
+	if p.MaxRipupPasses < 1 {
+		return fmt.Errorf("core: MaxRipupPasses %d < 1", p.MaxRipupPasses)
+	}
+	switch p.SearchKernel {
+	case "", route.KernelHeap, route.KernelDial, route.KernelAstar:
+	default:
+		return fmt.Errorf("core: unknown search kernel %q (want %v)", p.SearchKernel, route.Kernels())
+	}
+	switch p.SteinerMode {
+	case "", SteinerPD, SteinerCostDist:
+	default:
+		return fmt.Errorf("core: unknown steiner mode %q (want %v)", p.SteinerMode, SteinerModes())
+	}
+	if p.MCFPhases < 0 {
+		return fmt.Errorf("core: MCFPhases %d < 0", p.MCFPhases)
+	}
+	if p.MCFEpsilon != 0 && !(p.MCFEpsilon > 0 && p.MCFEpsilon < 1) {
+		return fmt.Errorf("core: MCFEpsilon %g outside (0,1)", p.MCFEpsilon)
+	}
+	for i, g := range p.Library {
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("core: library gate %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // newState validates the inputs and assembles the pipeline state shared by
 // every planning engine.
 func newState(ctx context.Context, c *netlist.Circuit, p Params) (*state, error) {
@@ -284,35 +326,14 @@ func newState(ctx context.Context, c *netlist.Circuit, p Params) (*state, error)
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	if p.MaxRipupPasses < 1 {
-		return nil, fmt.Errorf("core: MaxRipupPasses %d < 1", p.MaxRipupPasses)
-	}
-	switch p.SearchKernel {
-	case "", route.KernelHeap, route.KernelDial, route.KernelAstar:
-	default:
-		return nil, fmt.Errorf("core: unknown search kernel %q (want %v)", p.SearchKernel, route.Kernels())
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	if p.SearchKernel != "" {
 		// Params.SearchKernel is the request-level spelling; the router
 		// reads Options.Kernel, so the override lands once here and every
 		// Stage-2/Stage-4 Options copy below inherits it.
 		p.RouteOpt.Kernel = p.SearchKernel
-	}
-	switch p.SteinerMode {
-	case "", SteinerPD, SteinerCostDist:
-	default:
-		return nil, fmt.Errorf("core: unknown steiner mode %q (want %v)", p.SteinerMode, SteinerModes())
-	}
-	if p.MCFPhases < 0 {
-		return nil, fmt.Errorf("core: MCFPhases %d < 0", p.MCFPhases)
-	}
-	if p.MCFEpsilon != 0 && (p.MCFEpsilon <= 0 || p.MCFEpsilon >= 1) {
-		return nil, fmt.Errorf("core: MCFEpsilon %g outside (0,1)", p.MCFEpsilon)
-	}
-	for i, g := range p.Library {
-		if err := g.Validate(); err != nil {
-			return nil, fmt.Errorf("core: library gate %d: %w", i, err)
-		}
 	}
 	eval, err := delay.NewEvaluator(p.Tech, c.TileUm)
 	if err != nil {
@@ -502,12 +523,7 @@ func (s *state) stage2() error {
 		// heuristic is provably engaged (see route/kernel.go).
 		opt.Alpha = 1
 	}
-	// The speculative engine is threaded unconditionally: its protocol is
-	// worker-count-independent, so results and event streams match the
-	// sequential kernel bit for bit at every Workers value (the parallel
-	// determinism suite pins this).
-	px := route.NewParallel(s.p.Workers, s.p.WorkspacePool)
-	if _, err := route.ReduceCongestionCtx(s.ctx, s.g, s.c.Nets, s.routes, order, s.p.MaxRipupPasses, opt, s.ws, px); err != nil {
+	if _, err := route.ReduceCongestionCtx(s.ctx, s.g, s.c.Nets, s.routes, order, s.p.MaxRipupPasses, opt, s.ws); err != nil {
 		return err
 	}
 	return s.refreshDelays()

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/floorplan"
@@ -218,6 +220,47 @@ func TestRunRejectsBadInput(t *testing.T) {
 	p.MaxRipupPasses = 0
 	if _, err := Run(c, p); err == nil {
 		t.Error("zero passes accepted")
+	}
+
+	// Router weights and alphas outside their domains fail in newState,
+	// before any search runs: a negative or NaN edge cost makes the
+	// wavefront's queue grow without bound, so without the check these
+	// runs end in an out-of-memory crash, not an error.
+	cases := []struct {
+		field string
+		set   func(p *Params)
+	}{
+		{"RouteOpt.LengthWeight", func(p *Params) { p.RouteOpt.LengthWeight = -1 }},
+		{"RouteOpt.LengthWeight", func(p *Params) { p.RouteOpt.LengthWeight = math.NaN() }},
+		{"RouteOpt.LengthWeight", func(p *Params) { p.RouteOpt.LengthWeight = math.Inf(1) }},
+		{"RouteOpt.OverflowPenalty", func(p *Params) { p.RouteOpt.OverflowPenalty = -1 }},
+		{"RouteOpt.OverflowPenalty", func(p *Params) { p.RouteOpt.OverflowPenalty = math.NaN() }},
+		{"RouteOpt.OverflowPenalty", func(p *Params) { p.RouteOpt.OverflowPenalty = math.Inf(1) }},
+		{"core: Alpha", func(p *Params) { p.Alpha = -0.1 }},
+		{"core: Alpha", func(p *Params) { p.Alpha = 1.5 }},
+		{"core: Alpha", func(p *Params) { p.Alpha = math.NaN() }},
+		{"RouteOpt.Alpha", func(p *Params) { p.RouteOpt.Alpha = -0.1 }},
+		{"RouteOpt.Alpha", func(p *Params) { p.RouteOpt.Alpha = 1.5 }},
+		{"RouteOpt.Alpha", func(p *Params) { p.RouteOpt.Alpha = math.NaN() }},
+	}
+	for _, tc := range cases {
+		p := DefaultParams()
+		tc.set(&p)
+		// Validate first: if it ever stopped rejecting the value, Run
+		// below would exhaust memory instead of failing this test.
+		if err := p.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Fatalf("%s: Validate = %v, want an error naming the field", tc.field, err)
+		}
+		if _, err := Run(c, p); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Run = %v, want the Validate error", tc.field, err)
+		}
+	}
+	// The domain edges are legal.
+	p = DefaultParams()
+	p.Alpha, p.RouteOpt.Alpha = 0, 1
+	p.RouteOpt.LengthWeight, p.RouteOpt.OverflowPenalty = 0, 0
+	if err := p.Validate(); err != nil {
+		t.Errorf("boundary values rejected: %v", err)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // callgraph.go builds the static call graph the interprocedural checks
-// (taint.go, specpure.go, ctxflow.go) walk. One graph is built per Run over
+// (taint.go, ctxflow.go) walk. One graph is built per Run over
 // the whole module; nodes are the module's declared functions and methods,
 // edges are the call sites that can be resolved statically:
 //
@@ -373,7 +373,7 @@ func (cg *CallGraph) collectMapRanges() {
 }
 
 // shortFunc renders a module function compactly for call-path messages:
-// "route.Reroute", "(*route.Parallel).speculate", or the full name for
+// "route.Reroute", "(*route.Workspace).pushPQ", or the full name for
 // functions outside the module.
 func (cg *CallGraph) shortFunc(fn *types.Func) string {
 	name := fn.FullName()

@@ -86,50 +86,6 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 	return errors.Join(append(errs, ctx.Err())...)
 }
 
-// ForEachWorker is ForEach for workloads needing per-worker scratch state:
-// fn receives a worker slot w in [0, min(Workers(workers), n)) alongside
-// the item index, and no two concurrent invocations share a slot, so fn
-// may address exclusive per-slot scratch (the parallel router's per-worker
-// workspaces). Which items land on which slot is timing-dependent, exactly
-// as with ForEach; determinism of results must come from fn writing only
-// to per-index state and from slot scratch never influencing outputs. With
-// a single worker (or single item) fn runs inline on slot 0 in index
-// order.
-func ForEachWorker(workers, n int, fn func(w, i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	w := Workers(workers)
-	if w > n {
-		w = n
-	}
-	errs := make([]error, n)
-	if w == 1 {
-		f0 := func(i int) error { return fn(0, i) }
-		for i := 0; i < n; i++ {
-			errs[i] = capture(i, f0)
-		}
-		return errors.Join(errs...)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func(slot int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = capture(i, func(i int) error { return fn(slot, i) })
-			}
-		}(g)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
 // capture invokes fn(i), converting a panic into an error.
 func capture(i int, fn func(int) error) (err error) {
 	defer func() {

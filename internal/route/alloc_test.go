@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/geom"
@@ -123,6 +124,45 @@ func TestBufferAwarePathZeroAllocSteadyState(t *testing.T) {
 			})
 			if avg != 0 {
 				t.Fatalf("BufferAwarePath[%s] with warmed workspace: %v allocs/run, want 0", kernel, avg)
+			}
+		})
+	}
+}
+
+// TestReduceCongestionAllocBound extends TestRipupPassAllocBound from the
+// bare pass to the Stage-2 entry point: a multi-pass ReduceCongestionCtx
+// call (per-pass overflow checks and Options copies included) stays O(1)
+// allocations with a warmed workspace and a nil observer.
+func TestReduceCongestionAllocBound(t *testing.T) {
+	const maxPasses = 3
+	for _, kernel := range Kernels() {
+		t.Run(kernel, func(t *testing.T) {
+			g, nets, routes, order := benchWorkload(t)
+			opt := DefaultOptions()
+			opt.Kernel = kernel
+			ws := NewWorkspace()
+			ctx := context.Background()
+			// Warm like TestRipupPassAllocBound (two calls of three passes).
+			for i := 0; i < 2; i++ {
+				if _, err := ReduceCongestionCtx(ctx, g, nets, routes, order, maxPasses, opt, ws); err != nil {
+					t.Fatal(err)
+				}
+			}
+			passes := 0
+			avg := testing.AllocsPerRun(10, func() {
+				n, err := ReduceCongestionCtx(ctx, g, nets, routes, order, maxPasses, opt, ws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				passes += n
+			})
+			// The workload must stay congested, or the bound would only
+			// cover the zero-pass early exit.
+			if passes < 11*maxPasses {
+				t.Fatalf("ReduceCongestionCtx[%s] ran %d passes over 11 calls, want every call to run %d", kernel, passes, maxPasses)
+			}
+			if avg > 8 {
+				t.Fatalf("ReduceCongestionCtx[%s] with warmed workspace: %v allocs/run, want <= 8", kernel, avg)
 			}
 		})
 	}

@@ -53,8 +53,7 @@ const (
 // resolveKernel maps Options.Kernel to a kernelID. A caller-supplied
 // Options.Weight forces the heap: the custom cost function publishes no
 // bounds, so neither Dial's bucket sizing nor A*'s admissible lower bound
-// is sound under it (the same reason route.Parallel falls back to the
-// sequential kernel there).
+// is sound under it.
 func resolveKernel(opt Options) (kernelID, error) {
 	switch opt.Kernel {
 	case "", KernelHeap:
@@ -269,9 +268,8 @@ func (ws *Workspace) dialPop() pqItem {
 
 // astarArmReroute loads the net's sink coordinates and the static Eq. (1)
 // per-edge lower bound. The bound is deliberately usage-independent
-// (1/CapMax + LengthWeight): the speculative parallel engine must see the
-// same pop order as the sequential kernel, and a live residual scan would
-// read congestion outside the recorded read set.
+// (1/CapMax + LengthWeight), so arming costs O(sinks) per reroute; a live
+// residual scan like astarArmPath's would add a reverse search per net.
 func (ws *Workspace) astarArmReroute(g *tile.Graph, n *netlist.Net, opt Options) {
 	a := &ws.astar
 	a.gx, a.gy = a.gx[:0], a.gy[:0]
@@ -302,10 +300,10 @@ func (ws *Workspace) astarArmReroute(g *tile.Graph, n *netlist.Net, opt Options)
 // never reaches read as +Inf, which is itself exact: no forward path from
 // them can reach the head either.
 //
-// Usage is static within one call and Stage 4 never speculates, so the
-// scan is deterministic; it also pre-warms the per-edge cost memo the
-// main search reads. The arming queue work is recorded in armPops /
-// armRelax and folded into the wavefront counters by the caller.
+// Usage is static within one call, so the scan is deterministic; it also
+// pre-warms the per-edge cost memo the main search reads. The arming queue
+// work is recorded in armPops / armRelax and folded into the wavefront
+// counters by the caller.
 func (ws *Workspace) astarArmPath(g *tile.Graph, head int, blocked []bool, opt Options) {
 	a := &ws.astar
 	nt := g.NumTiles()

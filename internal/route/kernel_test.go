@@ -14,7 +14,7 @@ import (
 	"repro/internal/tile"
 )
 
-// treesEqual and cloneRoutes live in workspace_test.go / parallel_test.go.
+// treesEqual and cloneRoutes live in workspace_test.go.
 
 // TestDialByteIdenticalRipup pins the tentpole claim at the unit level:
 // full multi-pass rip-up under the dial kernel produces exactly the trees

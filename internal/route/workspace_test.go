@@ -3,6 +3,7 @@ package route
 import (
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/rtree"
 )
 
@@ -22,6 +23,21 @@ func treesEqual(a, b *rtree.Tree) bool {
 		}
 	}
 	return true
+}
+
+// cloneRoutes deep-copies a routes slice so two kernels can run from the
+// same starting state.
+func cloneRoutes(routes []*rtree.Tree) []*rtree.Tree {
+	out := make([]*rtree.Tree, len(routes))
+	for i, rt := range routes {
+		c := &rtree.Tree{
+			Tile:     append([]geom.Pt(nil), rt.Tile...),
+			Parent:   append([]int(nil), rt.Parent...),
+			SinkNode: append([]int(nil), rt.SinkNode...),
+		}
+		out[i] = c
+	}
+	return out
 }
 
 // TestWorkspaceReuseEquivalence is the mechanical-equivalence check for the

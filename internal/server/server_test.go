@@ -441,8 +441,11 @@ func TestPlanBackends(t *testing.T) {
 	}
 }
 
-// TestPlanBackendBadRequests: an unknown engine and a library on a
-// single-type engine are client errors, not runs.
+// TestPlanBackendBadRequests: an unknown engine, a library on a
+// single-type engine, and any parameter outside its domain are client
+// errors from parsePlan, before the content key is derived and before any
+// run. Negative router weights matter most: they make the wavefront's
+// queue grow until the process runs out of memory.
 func TestPlanBackendBadRequests(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}).Handler())
 	defer ts.Close()
@@ -455,11 +458,24 @@ func TestPlanBackendBadRequests(t *testing.T) {
 		{"unknown steiner mode", `,"params":{"steiner_mode":"rsmt"}`},
 		{"negative mcf phases", `,"params":{"mcf_phases":-1}`},
 		{"mcf epsilon out of range", `,"params":{"mcf_epsilon":1.5}`},
+		{"negative length weight", `,"params":{"route_length_weight":-1}`},
+		{"negative length weight, astar", `,"params":{"search_kernel":"astar","route_length_weight":-1}`},
+		{"negative overflow penalty", `,"params":{"route_overflow_penalty":-1}`},
+		{"alpha above 1", `,"params":{"alpha":1.5}`},
+		{"negative route alpha", `,"params":{"route_alpha":-0.1}`},
 	}
 	for _, tc := range cases {
-		resp, body := postJSON(t, ts.URL+"/v1/plan", planBody(t, c, tc.extra))
+		body := planBody(t, c, tc.extra)
+		var req planRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, key, err := parsePlan(&req); err == nil || key != "" {
+			t.Errorf("%s: parsePlan = (key %q, %v), want an error and no key", tc.name, key, err)
+		}
+		resp, b := postJSON(t, ts.URL+"/v1/plan", body)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, resp.StatusCode, body)
+			t.Errorf("%s: status %d, want 400 (body %s)", tc.name, resp.StatusCode, b)
 		}
 	}
 }

@@ -40,7 +40,7 @@ trap 'rm -rf "$workdir"' EXIT
 go build -o "$workdir/benchjson" ./cmd/benchjson
 
 echo "== route microbenchmarks (benchtime=$benchtime)" >&2
-go test -run '^$' -bench 'BenchmarkReroute$|BenchmarkRipupPass$|BenchmarkRipupPassParallel$|BenchmarkBufferAwarePath$' \
+go test -run '^$' -bench 'BenchmarkReroute$|BenchmarkRipupPass$|BenchmarkBufferAwarePath$' \
   -benchmem -benchtime "$benchtime" ./internal/route | tee "$workdir/bench.txt" >&2
 
 echo "== search-kernel matrix (benchtime=$benchtime)" >&2

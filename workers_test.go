@@ -1,10 +1,12 @@
 package rabid
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/exp"
 	"repro/internal/floorplan"
+	"repro/internal/obs"
 	"repro/internal/par"
 )
 
@@ -101,5 +103,59 @@ func TestSuiteFanoutMatchesSequential(t *testing.T) {
 				t.Errorf("%s stage %d: fan-out run diverges from sequential", name, si+1)
 			}
 		}
+	}
+}
+
+// TestWorkersEventStreamDeterminismSuite extends TestWorkersDeterminismSuite
+// from stage stats to everything a run exposes: every suite circuit, at
+// Workers 1/2/4/8, must produce a byte-identical full result (stage stats,
+// route trees node for node, buffer assignments) AND a byte-identical
+// observer event stream. The Workers-dependent code is the per-net
+// fan-out of Stage-1 construction, the delay refresh and the snapshot
+// accounting, whose events are buffered per net and flushed in index
+// order. Run under -race in CI, this doubles as the data-race gate for
+// those fan-outs.
+func TestWorkersEventStreamDeterminismSuite(t *testing.T) {
+	workerCounts := []int{1, 2, 4, 8}
+	names := append(append([]string{}, exp.CBLNames...), exp.RandomNames...)
+	if testing.Short() {
+		names = names[:3]
+	}
+	if err := par.ForEach(0, len(names), func(i int) error {
+		name := names[i]
+		g := coarseGrids[name]
+		c, err := GenerateBenchmark(name, GenOptions{GridW: g[0], GridH: g[1]})
+		if err != nil {
+			return err
+		}
+		var refRes, refEvs []byte
+		for _, workers := range workerCounts {
+			var evBuf bytes.Buffer
+			sink := obs.NewJSONLines(&evBuf)
+			p := BenchmarkParams(name)
+			p.Workers = workers
+			p.Observer = sink
+			res, err := Run(c, p)
+			if err != nil {
+				return err
+			}
+			if err := sink.Err(); err != nil {
+				return err
+			}
+			rb := goldenBytes(t, res)
+			if workers == workerCounts[0] {
+				refRes, refEvs = rb, evBuf.Bytes()
+				continue
+			}
+			if !bytes.Equal(rb, refRes) {
+				t.Errorf("%s: Workers=%d result differs from Workers=1", name, workers)
+			}
+			if !bytes.Equal(evBuf.Bytes(), refEvs) {
+				t.Errorf("%s: Workers=%d event stream differs from Workers=1", name, workers)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
