@@ -9,6 +9,10 @@
 // host fingerprint lines go test prints (goos/goarch/pkg/cpu) and a
 // name-sorted benchmark list, so diffs between runs are line-local.
 //
+// A benchmark run more than once (go test -count N) becomes one row of
+// per-field medians with its sample count and ns/op range (n, ns_min,
+// ns_max), so a checked-in baseline carries its spread.
+//
 // Compare mode prints a per-benchmark delta table (ns/op, B/op, allocs/op)
 // and by default exits 0: wall-clock numbers from shared CI runners are too
 // noisy to fail a build on unconditionally. -maxregress N turns the
@@ -47,6 +51,13 @@ type Benchmark struct {
 	AllocsOp float64 `json:"allocs_per_op"`
 	PopsOp   float64 `json:"pops_per_op,omitempty"`
 	RelaxOp  float64 `json:"relaxations_per_op,omitempty"`
+	// N counts the samples merged into this row when the benchmark ran
+	// more than once (go test -count N): every per-op field is then the
+	// median over the samples, and NsMin/NsMax give the ns/op spread.
+	// Single-sample rows omit all three.
+	N     int     `json:"n,omitempty"`
+	NsMin float64 `json:"ns_min,omitempty"`
+	NsMax float64 `json:"ns_max,omitempty"`
 }
 
 // Report is the checked-in/artifact document.
@@ -138,6 +149,7 @@ func parse(r io.Reader) (*Report, error) {
 	if len(rep.Benchmarks) == 0 {
 		return nil, fmt.Errorf("no benchmark lines found in input")
 	}
+	rep.Benchmarks = mergeSamples(rep.Benchmarks)
 	sort.Slice(rep.Benchmarks, func(i, j int) bool {
 		a, b := rep.Benchmarks[i], rep.Benchmarks[j]
 		if a.Pkg != b.Pkg {
@@ -146,6 +158,56 @@ func parse(r io.Reader) (*Report, error) {
 		return a.Name < b.Name
 	})
 	return rep, nil
+}
+
+// mergeSamples folds repeated rows of one benchmark (go test -count N)
+// into a single row of per-field medians, recording the sample count and
+// the ns/op range. Rows keep their first-seen order.
+func mergeSamples(bs []Benchmark) []Benchmark {
+	type key struct{ pkg, name string }
+	groups := map[key][]Benchmark{}
+	var order []key
+	for _, b := range bs {
+		k := key{b.Pkg, b.Name}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		if len(g) == 1 {
+			out = append(out, g[0])
+			continue
+		}
+		med := func(field func(Benchmark) float64) float64 {
+			v := make([]float64, len(g))
+			for i, b := range g {
+				v[i] = field(b)
+			}
+			sort.Float64s(v)
+			n := len(v)
+			if n%2 == 1 {
+				return v[n/2]
+			}
+			return (v[n/2-1] + v[n/2]) / 2
+		}
+		m := Benchmark{Name: k.name, Pkg: k.pkg, N: len(g)}
+		m.Iters = int64(med(func(b Benchmark) float64 { return float64(b.Iters) }))
+		m.NsPerOp = med(func(b Benchmark) float64 { return b.NsPerOp })
+		m.BPerOp = med(func(b Benchmark) float64 { return b.BPerOp })
+		m.AllocsOp = med(func(b Benchmark) float64 { return b.AllocsOp })
+		m.PopsOp = med(func(b Benchmark) float64 { return b.PopsOp })
+		m.RelaxOp = med(func(b Benchmark) float64 { return b.RelaxOp })
+		m.NsMin, m.NsMax = g[0].NsPerOp, g[0].NsPerOp
+		for _, b := range g[1:] {
+			m.NsMin = min(m.NsMin, b.NsPerOp)
+			m.NsMax = max(m.NsMax, b.NsPerOp)
+		}
+		out = append(out, m)
+	}
+	return out
 }
 
 // parseLine parses one result line, e.g.

@@ -134,3 +134,30 @@ func TestCompareRegressionGate(t *testing.T) {
 		t.Errorf("report-only compare failed: %v", err)
 	}
 }
+
+// TestParseMergesRepeatedSamples: go test -count N prints one line per
+// sample; the report keeps one row per benchmark with the per-field
+// medians, the sample count and the ns/op range.
+func TestParseMergesRepeatedSamples(t *testing.T) {
+	in := `pkg: repro/internal/route
+BenchmarkBufferAwarePath-2   1000   300 ns/op   0 B/op   0 allocs/op
+BenchmarkBufferAwarePath-2   1200   100 ns/op   0 B/op   0 allocs/op
+BenchmarkBufferAwarePath-2   1100   200 ns/op   8 B/op   0 allocs/op
+BenchmarkReroute-2   500   50 ns/op   0 B/op   0 allocs/op
+`
+	rep, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 {
+		t.Fatalf("parsed %d rows, want 2: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	got := rep.Benchmarks[0]
+	want := Benchmark{Name: "BenchmarkBufferAwarePath", Pkg: "repro/internal/route", Iters: 1100, NsPerOp: 200, N: 3, NsMin: 100, NsMax: 300}
+	if got != want {
+		t.Errorf("merged row %+v, want %+v", got, want)
+	}
+	if one := rep.Benchmarks[1]; one.N != 0 || one.NsMin != 0 || one.NsMax != 0 {
+		t.Errorf("single-sample row carries spread fields: %+v", one)
+	}
+}

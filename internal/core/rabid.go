@@ -48,7 +48,7 @@ type Params struct {
 	// the Stage-1 average congestion is TargetStage1Avg (see DESIGN.md —
 	// the paper never tabulates W(e)).
 	Capacity int
-	// TargetStage1Avg is the calibration target (default 0.25).
+	// TargetStage1Avg is the calibration target (0 = the default 0.25).
 	TargetStage1Avg float64
 	// Tech is the technology used for Elmore delay reporting.
 	Tech tech.Tech
@@ -208,10 +208,11 @@ type state struct {
 	// of Stages 2 and 4 and is reused across nets and passes and, through
 	// Params.WorkspacePool, across runs.
 	ws *route.Workspace
-	// splice and processed are Stage 4's reusable two-path scratch (see
-	// reworkNet).
+	// splice, processed and incumbent are Stage 4's reusable two-path
+	// scratch (see reworkNet).
 	splice    splicer
 	processed [][2]geom.Pt
+	incumbent []geom.Pt
 }
 
 // Run executes the full RABID pipeline on the circuit.
@@ -292,6 +293,12 @@ func (p Params) Validate() error {
 	}
 	if p.MaxRipupPasses < 1 {
 		return fmt.Errorf("core: MaxRipupPasses %d < 1", p.MaxRipupPasses)
+	}
+	if p.Capacity < 0 || p.Capacity > math.MaxInt32 {
+		return fmt.Errorf("core: Capacity %d outside [0, %d]", p.Capacity, math.MaxInt32)
+	}
+	if !(p.TargetStage1Avg >= 0) || math.IsInf(p.TargetStage1Avg, 1) {
+		return fmt.Errorf("core: TargetStage1Avg %g must be finite and >= 0 (0 = default 0.25)", p.TargetStage1Avg)
 	}
 	switch p.SearchKernel {
 	case "", route.KernelHeap, route.KernelDial, route.KernelAstar:
@@ -769,7 +776,13 @@ func (s *state) reworkNet(i int) error {
 		}
 		blocked[s.g.TileIndex(head)] = false
 		blocked[s.g.TileIndex(tail)] = false
-		newPath, err := route.BufferAwarePath(s.g, tail, head, n.L, blocked, ropt, s.ws)
+		// The ripped two-path, tail first, bounds the search: the
+		// reconnection can only be as cheap or cheaper.
+		s.incumbent = s.incumbent[:0]
+		for k := len(pick) - 1; k >= 0; k-- {
+			s.incumbent = append(s.incumbent, rt.Tile[pick[k]])
+		}
+		newPath, err := route.BufferAwarePath(s.g, tail, head, n.L, blocked, s.incumbent, ropt, s.ws)
 		for _, t := range rt.Tile {
 			blocked[s.g.TileIndex(t)] = false
 		}

@@ -242,6 +242,12 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"RouteOpt.Alpha", func(p *Params) { p.RouteOpt.Alpha = -0.1 }},
 		{"RouteOpt.Alpha", func(p *Params) { p.RouteOpt.Alpha = 1.5 }},
 		{"RouteOpt.Alpha", func(p *Params) { p.RouteOpt.Alpha = math.NaN() }},
+		{"Capacity", func(p *Params) { p.Capacity = -1 }},
+		{"Capacity", func(p *Params) { p.Capacity = math.MaxInt32 + 1 }},
+		{"TargetStage1Avg", func(p *Params) { p.TargetStage1Avg = -0.25 }},
+		{"TargetStage1Avg", func(p *Params) { p.TargetStage1Avg = math.NaN() }},
+		{"TargetStage1Avg", func(p *Params) { p.TargetStage1Avg = math.Inf(1) }},
+		{"TargetStage1Avg", func(p *Params) { p.TargetStage1Avg = math.Inf(-1) }},
 	}
 	for _, tc := range cases {
 		p := DefaultParams()
@@ -259,8 +265,22 @@ func TestRunRejectsBadInput(t *testing.T) {
 	p = DefaultParams()
 	p.Alpha, p.RouteOpt.Alpha = 0, 1
 	p.RouteOpt.LengthWeight, p.RouteOpt.OverflowPenalty = 0, 0
+	p.Capacity, p.TargetStage1Avg = math.MaxInt32, 0
 	if err := p.Validate(); err != nil {
 		t.Errorf("boundary values rejected: %v", err)
+	}
+	// A vanishing calibration target plans the least congested graph the
+	// capacity range allows, not (as the wrapped float-to-int conversion
+	// once did) a capacity of 1 and a maximally congested one.
+	p = DefaultParams()
+	p.TargetStage1Avg = 1e-300
+	p.SkipStage4 = true
+	res, err := Run(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Capacity != math.MaxInt32 {
+		t.Errorf("TargetStage1Avg 1e-300: capacity %d, want %d", res.Capacity, math.MaxInt32)
 	}
 }
 

@@ -312,7 +312,7 @@ func TestSpliceMatchesMapReference(t *testing.T) {
 			for p, b := range inTree {
 				blocked[g.TileIndex(p)] = b
 			}
-			path, err := route.BufferAwarePath(g, tail, head, 1+r.Intn(6), blocked, route.DefaultOptions(), ws)
+			path, err := route.BufferAwarePath(g, tail, head, 1+r.Intn(6), blocked, nil, route.DefaultOptions(), ws)
 			if err != nil {
 				continue
 			}

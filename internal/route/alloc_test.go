@@ -80,45 +80,52 @@ func TestRipupPassAllocBound(t *testing.T) {
 }
 
 // TestBufferAwarePathZeroAllocSteadyState: Stage 4's maze search shares the
-// same workspace discipline as Reroute, under every kernel (astar arms its
-// residual-scan heuristic here, so this also pins that scan as alloc-free).
-// The instance is one where dominance pruning fires — the search pops
-// fewer states than the unpruned reference — so the pruning path is held
-// to the same zero-alloc bound.
+// same workspace discipline as Reroute, under every kernel, with an
+// incumbent as Stage 4 passes one (so the bound's DP, the reverse arming
+// scan and the pruned wavefront are all held to it). The instance is one
+// where both prunings fire: the search pops fewer states than the
+// unpruned reference, and the incumbent cuts the work further — forward
+// pops under heap and dial, where the search is not goal-directed, and
+// the arming scan under astar, whose exact heuristic already keeps the
+// forward wavefront near the optimum.
 func TestBufferAwarePathZeroAllocSteadyState(t *testing.T) {
 	for _, kernel := range Kernels() {
 		t.Run(kernel, func(t *testing.T) {
-			g, _, routes, _ := benchWorkload(t)
-			tail, head := geom.Pt{X: 29, Y: 29}, geom.Pt{X: 2, Y: 2}
-			blocked := make([]bool, g.NumTiles())
-			for _, p := range routes[3].Tile {
-				blocked[g.TileIndex(p)] = true
-			}
-			blocked[g.TileIndex(tail)] = false
-			blocked[g.TileIndex(head)] = false
+			g, tail, head, blocked, inc := benchTwoPath(t)
 			opt := DefaultOptions()
 			opt.Kernel = kernel
-			probe := opt
-			m := obs.NewMetrics()
-			probe.Obs = m
-			if _, err := BufferAwarePath(g, tail, head, 6, blocked, probe, NewWorkspace()); err != nil {
-				t.Fatal(err)
+			pops := func(inc []geom.Pt) (forward, arming int) {
+				probe := opt
+				m := obs.NewMetrics()
+				probe.Obs = m
+				ws := NewWorkspace()
+				if _, err := BufferAwarePath(g, tail, head, 6, blocked, inc, probe, ws); err != nil {
+					t.Fatal(err)
+				}
+				return int(m.Counter("route.bap.pops")) - ws.bnd.armPops, ws.bnd.armPops
 			}
 			_, _, refPops, err := bapReference(g, tail, head, 6, blocked, opt, NewWorkspace())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if pops := int(m.Counter("route.bap.pops")); pops >= refPops {
-				t.Fatalf("BufferAwarePath[%s]: %d pops, unpruned reference %d: pruning does not fire on this instance", kernel, pops, refPops)
+			fu, au := pops(nil)
+			fb, ab := pops(inc)
+			cut := fb < fu
+			if kernel == KernelAstar {
+				cut = fb <= fu && ab < au
 			}
+			if fu+au >= refPops || !cut {
+				t.Fatalf("BufferAwarePath[%s]: pops forward+arming %d+%d unbounded, %d+%d bounded, unpruned reference %d: a pruning does not fire on this instance", kernel, fu, au, fb, ab, refPops)
+			}
+			t.Logf("pops forward+arming: unbounded %d+%d, bounded %d+%d, unpruned reference %d", fu, au, fb, ab, refPops)
 			ws := NewWorkspace()
 			for i := 0; i < 2; i++ {
-				if _, err := BufferAwarePath(g, tail, head, 6, blocked, opt, ws); err != nil {
+				if _, err := BufferAwarePath(g, tail, head, 6, blocked, inc, opt, ws); err != nil {
 					t.Fatal(err)
 				}
 			}
 			avg := testing.AllocsPerRun(100, func() {
-				if _, err := BufferAwarePath(g, tail, head, 6, blocked, opt, ws); err != nil {
+				if _, err := BufferAwarePath(g, tail, head, 6, blocked, inc, opt, ws); err != nil {
 					t.Fatal(err)
 				}
 			})

@@ -1,7 +1,9 @@
 package route
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -16,12 +18,17 @@ import (
 // capacity tight enough that rip-up has real work to do.
 func benchWorkload(b testing.TB) (*tile.Graph, []*netlist.Net, []*rtree.Tree, []int) {
 	b.Helper()
+	return benchWorkloadCap(b, 3)
+}
+
+func benchWorkloadCap(b testing.TB, capacity int) (*tile.Graph, []*netlist.Net, []*rtree.Tree, []int) {
+	b.Helper()
 	const w, h, numNets = 32, 32, 120
 	sites := make([]int, w*h)
 	for i := range sites {
 		sites[i] = 4
 	}
-	g, err := tile.New(w, h, sites, 3)
+	g, err := tile.New(w, h, sites, capacity)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -169,33 +176,82 @@ func BenchmarkRerouteKernelAlpha1(b *testing.B) {
 	}
 }
 
+// benchTwoPath is the Stage-4 instance of the BufferAwarePath benchmarks:
+// a long tail-to-head reconnection on benchWorkload's graph at capacity 4
+// — one unit of overflow left, the congestion Stage 4 meets after Stage 2,
+// where at capacity 3 every reconnection pays the overflow penalty many
+// times over — with net 3's tree as the blocked mask, and an incumbent the
+// way Stage 4 has one: the two-path as Stage 2 would have routed it, the
+// cheapest path under the wire cost alone (Eq. (1) plus the length
+// weight, no buffer costs) around the blocked tiles.
+func benchTwoPath(b testing.TB) (g *tile.Graph, tail, head geom.Pt, blocked []bool, incumbent []geom.Pt) {
+	b.Helper()
+	g, _, routes, _ := benchWorkloadCap(b, 4)
+	tail, head = geom.Pt{X: 29, Y: 29}, geom.Pt{X: 2, Y: 2}
+	blocked = make([]bool, g.NumTiles())
+	for _, t := range routes[3].Tile {
+		blocked[g.TileIndex(t)] = true
+	}
+	blocked[g.TileIndex(tail)] = false
+	blocked[g.TileIndex(head)] = false
+	opt := DefaultOptions()
+	src, dst := g.TileIndex(tail), g.TileIndex(head)
+	dist := make([]float64, g.NumTiles())
+	prev := make([]int, g.NumTiles())
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[src] = 0
+	q := distHeap{{src, 0}}
+	for q.Len() > 0 {
+		it := q.popMin()
+		if it.key > dist[it.node] {
+			continue
+		}
+		nbrs, edges := g.Adjacency(it.node)
+		for x, w32 := range nbrs {
+			w := int(w32)
+			if blocked[w] {
+				continue
+			}
+			if d := it.key + edgeCost(g, int(edges[x]), nil, opt.OverflowPenalty, opt.LengthWeight); d < dist[w] {
+				dist[w], prev[w] = d, it.node
+				q.pushItem(pqItem{w, d})
+			}
+		}
+	}
+	if math.IsInf(dist[dst], 1) {
+		b.Fatal("benchTwoPath: head unreachable")
+	}
+	for v := dst; v != src; v = prev[v] {
+		incumbent = append(incumbent, g.TileAt(v))
+	}
+	incumbent = append(incumbent, tail)
+	slices.Reverse(incumbent)
+	return g, tail, head, blocked, incumbent
+}
+
 // BenchmarkBufferAwarePathKernel is the kernel matrix for the Stage-4
 // (tile, j) maze — the pipeline's dominant pops source, and the search the
 // astar kernel always accelerates (pure Dijkstra, consistent heuristic,
-// goal-directed long two-point path).
+// goal-directed long two-point path). Like Stage 4, every call carries an
+// incumbent, so this runs the bounded search.
 func BenchmarkBufferAwarePathKernel(b *testing.B) {
 	for _, kernel := range Kernels() {
 		b.Run(kernel, func(b *testing.B) {
-			g, _, routes, _ := benchWorkload(b)
-			tail, head := geom.Pt{X: 29, Y: 29}, geom.Pt{X: 2, Y: 2}
-			blocked := make([]bool, g.NumTiles())
-			for _, t := range routes[3].Tile {
-				blocked[g.TileIndex(t)] = true
-			}
-			blocked[g.TileIndex(tail)] = false
-			blocked[g.TileIndex(head)] = false
+			g, tail, head, blocked, inc := benchTwoPath(b)
 			opt := DefaultOptions()
 			opt.Kernel = kernel
 			probe := opt
 			probe.Obs = obs.NewMetrics()
 			ws := NewWorkspace()
-			if _, err := BufferAwarePath(g, tail, head, 6, blocked, probe, ws); err != nil {
+			if _, err := BufferAwarePath(g, tail, head, 6, blocked, inc, probe, ws); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := BufferAwarePath(g, tail, head, 6, blocked, opt, ws); err != nil {
+				if _, err := BufferAwarePath(g, tail, head, 6, blocked, inc, opt, ws); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -206,21 +262,14 @@ func BenchmarkBufferAwarePathKernel(b *testing.B) {
 }
 
 // BenchmarkBufferAwarePath measures the Stage-4 (tile, j) combined-cost maze
-// on a long two-path with a blocked tree mask.
+// on a long two-path with a blocked tree mask and an incumbent.
 func BenchmarkBufferAwarePath(b *testing.B) {
-	g, _, routes, _ := benchWorkload(b)
-	tail, head := geom.Pt{X: 29, Y: 29}, geom.Pt{X: 2, Y: 2}
-	blocked := make([]bool, g.NumTiles())
-	for _, t := range routes[3].Tile {
-		blocked[g.TileIndex(t)] = true
-	}
-	blocked[g.TileIndex(tail)] = false
-	blocked[g.TileIndex(head)] = false
+	g, tail, head, blocked, inc := benchTwoPath(b)
 	ws := NewWorkspace()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BufferAwarePath(g, tail, head, 6, blocked, DefaultOptions(), ws); err != nil {
+		if _, err := BufferAwarePath(g, tail, head, 6, blocked, inc, DefaultOptions(), ws); err != nil {
 			b.Fatal(err)
 		}
 	}

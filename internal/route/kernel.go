@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/geom"
 	"repro/internal/netlist"
 	"repro/internal/tile"
 )
@@ -111,21 +112,36 @@ type dialState struct {
 	thr     float64 // keys >= thr go to far
 }
 
-// astarState carries the per-call heuristic inputs. Reroute mode uses the
-// goal coordinates plus the static per-edge cost lower bound (gx, gy, w,
-// cmin, alpha); BufferAwarePath mode uses hd, the exact tile-level
-// reverse-Dijkstra distance table armed by astarArmPath (hs is its epoch
-// stamp; a stale entry reads as unreachable). armPops and armRelax record
-// the arming pass's queue work so the caller can fold it into the
-// wavefront counters — the heuristic's cost is never hidden from the
-// pops/relaxations accounting.
+// astarState carries the Reroute heuristic's per-call inputs: the goal
+// coordinates plus the static per-edge cost lower bound (gx, gy, w, cmin,
+// alpha). BufferAwarePath's heuristic is the reverse tile distance of
+// boundState, shared with the incumbent bound.
 type astarState struct {
-	gx, gy   []int32
-	w        int
-	cmin     float64
-	alpha    float64
+	gx, gy []int32
+	w      int
+	cmin   float64
+	alpha  float64
+}
+
+// boundState is BufferAwarePath's on-demand reverse tile search
+// (armStart / armReach) and the incumbent bound's DP scratch. hd is the
+// edge-only tile distance to the head: tentative where hs equals the
+// call's epoch, final where hc does. rq is the reverse search's own
+// queue, so it can resume between wavefront pops without disturbing the
+// wavefront's. cmin·manh(tail, t) (tx, ty the tail's coordinates) is the
+// search's goal-directing lower bound on the forward cost of reaching t;
+// pen and lw are the call's edge-cost parameters.
+// armPops and armRelax record the reverse queue work so the caller can
+// fold it into the wavefront counters — the bound's cost is never hidden
+// from the pops/relaxations accounting.
+type boundState struct {
 	hd       []float64
-	hs       []uint64
+	hs, hc   []uint64
+	rq       []pqItem
+	dp       []float64
+	tx, ty   int
+	cmin     float64
+	pen, lw  float64
 	armPops  int
 	armRelax int
 }
@@ -269,7 +285,8 @@ func (ws *Workspace) dialPop() pqItem {
 // astarArmReroute loads the net's sink coordinates and the static Eq. (1)
 // per-edge lower bound. The bound is deliberately usage-independent
 // (1/CapMax + LengthWeight), so arming costs O(sinks) per reroute; a live
-// residual scan like astarArmPath's would add a reverse search per net.
+// residual scan like BufferAwarePath's (armStart) would add a reverse
+// search per net.
 func (ws *Workspace) astarArmReroute(g *tile.Graph, n *netlist.Net, opt Options) {
 	a := &ws.astar
 	a.gx, a.gy = a.gx[:0], a.gy[:0]
@@ -288,60 +305,110 @@ func (ws *Workspace) astarArmReroute(g *tile.Graph, n *netlist.Net, opt Options)
 	a.alpha = opt.Alpha
 }
 
-// astarArmPath arms the BufferAwarePath heuristic: an exact reverse
-// Dijkstra from the head over the tile graph, under the live Eq. (1) edge
-// costs and the caller's blocked mask. The tile metric is a relaxation of
-// the (tile, j) state search — it drops the buffer-spacing constraint and
-// the non-negative Eq. (2) site costs but keeps the edge costs and the
-// blocked semantics exactly — so hd[t] is an admissible, consistent lower
-// bound on any state (t, j)'s true remaining cost: h(v) <= wc + h(w) is
-// the triangle inequality of the relaxed metric, and a buffer placement
-// stays in the same tile at non-negative cost. Tiles the reverse scan
-// never reaches read as +Inf, which is itself exact: no forward path from
-// them can reach the head either.
+// armStart opens BufferAwarePath's reverse tile-level search from the
+// head: a Dijkstra over the tile graph under the live Eq. (1) edge costs
+// and the caller's blocked mask, run lazily by armReach. The tile metric
+// is a relaxation of the (tile, j) state search — it drops the
+// buffer-spacing constraint and the non-negative Eq. (2) site costs but
+// keeps the edge costs and the blocked semantics exactly — so hd(t) is an
+// admissible, consistent lower bound on any state (t, j)'s remaining
+// cost: hd(v) <= wc + hd(w) is the triangle inequality of the relaxed
+// metric, and a buffer placement stays in the same tile at non-negative
+// cost.
 //
-// Usage is static within one call, so the scan is deterministic; it also
-// pre-warms the per-edge cost memo the main search reads. The arming queue
-// work is recorded in armPops / armRelax and folded into the wavefront
-// counters by the caller.
-func (ws *Workspace) astarArmPath(g *tile.Graph, head int, blocked []bool, opt Options) {
-	a := &ws.astar
+// goal, when set, directs the search at the tail: tiles close in order of
+// hd(t) + cmin·manh(tail, t) rather than hd(t) alone (A* toward the tail,
+// with cmin the cheapest possible edge cost, scaled down by boundScale so
+// the bound stays strictly consistent), so the tiles between the two ends
+// close first and tiles behind the head close late, if at all. Without
+// it the order is plain Dijkstra's, which closes every tile at exactly
+// the distance an unlimited scan settles — the astar kernel orders pops by
+// hd and needs those values bit for bit.
+//
+// Usage is static within one call, so the search is deterministic; it
+// also warms the per-edge cost memo the main search reads.
+func (ws *Workspace) armStart(g *tile.Graph, head, tail int, pen, lw float64, goal bool) {
+	b := &ws.bnd
 	nt := g.NumTiles()
-	if len(a.hd) < nt {
-		a.hd = make([]float64, nt) //rabid:allow allocfree cold grow path: the heuristic table reallocates only when the grid outgrows the workspace
-		a.hs = make([]uint64, nt)  //rabid:allow allocfree cold grow path: the heuristic table reallocates only when the grid outgrows the workspace
+	if len(b.hd) < nt {
+		b.hd = make([]float64, nt) //rabid:allow allocfree cold grow path: the distance table reallocates only when the grid outgrows the workspace
+		b.hs = make([]uint64, nt)  //rabid:allow allocfree cold grow path: the distance table reallocates only when the grid outgrows the workspace
+		b.hc = make([]uint64, nt)  //rabid:allow allocfree cold grow path: the distance table reallocates only when the grid outgrows the workspace
 	}
-	a.armPops, a.armRelax = 0, 0
+	b.armPops, b.armRelax = 0, 0
+	b.pen, b.lw = pen, lw
+	b.tx, b.ty = tail%g.W, tail/g.W
+	b.cmin = 0
+	if goal {
+		capMax := g.CapMax()
+		if capMax < 1 {
+			capMax = 1
+		}
+		b.cmin = (math.Min(1/float64(capMax), pen) + lw) * boundScale
+	}
+	b.hd[head] = 0
+	b.hs[head] = ws.epoch
+	b.rq = heapPushPQ(b.rq[:0], pqItem{head, b.lb(g, head)}) //rabid:allow allocfree amortized grow path: the reverse queue reallocates only until the workspace has seen the largest grid
+}
+
+// lb is the reverse search's goal-directing bound for tile t.
+func (b *boundState) lb(g *tile.Graph, t int) float64 {
+	return b.cmin * float64(geom.Abs(t%g.W-b.tx)+geom.Abs(t/g.W-b.ty))
+}
+
+// armReach resumes the reverse search until tile w is closed, and reports
+// whether it is: then hd[w] is final. It stops early, reporting false,
+// once hd(w) > bound is certain — every open key exceeds bound + lb(w),
+// and an unclosed tile's key is at least the smallest open one — or when
+// the queue runs dry (w cannot reach the head). Callers pass bound =
+// U − (cost so far), so a false means no path through w fits the bound.
+func (ws *Workspace) armReach(g *tile.Graph, blocked []bool, head, w int, bound float64) bool {
+	if ws.bnd.hc[w] == ws.epoch {
+		return true // the common case, small enough to inline
+	}
+	return ws.armResume(g, blocked, head, w, bound)
+}
+
+// armResume is armReach's slow path: run the reverse search on.
+func (ws *Workspace) armResume(g *tile.Graph, blocked []bool, head, w int, bound float64) bool {
+	b := &ws.bnd
 	ep := ws.epoch
-	memo := opt.Weight == nil
-	a.hd[head] = 0
-	a.hs[head] = ep
-	ws.q = ws.q[:0]
-	ws.pushPQ(pqItem{head, 0})
-	for len(ws.q) > 0 {
-		it := ws.popPQ()
-		a.armPops++
+	stop := bound + b.lb(g, w)
+	q := b.rq
+	for b.hc[w] != ep {
+		if len(q) == 0 || q[0].key > stop {
+			b.rq = q
+			return false
+		}
+		var it pqItem
+		it, q = heapPopPQ(q)
+		b.armPops++
 		u := it.node
-		if it.key > a.hd[u] {
+		if b.hc[u] == ep {
 			continue // stale entry, superseded by a better push
 		}
-		// Expanding u corresponds to a forward move v -> u, which the main
-		// search permits only into unblocked tiles (the head excepted).
-		if u != head && blocked != nil && blocked[u] {
-			continue
-		}
+		b.hc[u] = ep
+		du := b.hd[u]
 		nbrs, edges := g.Adjacency(u)
 		for x, v32 := range nbrs {
 			v := int(v32)
-			a.armRelax++
-			d := it.key + ws.edgeCostMemo(g, int(edges[x]), opt, memo)
-			if a.hs[v] != ep || d < a.hd[v] {
-				a.hs[v] = ep
-				a.hd[v] = d
-				ws.pushPQ(pqItem{v, d})
+			// The main search never enters a blocked tile (the head
+			// excepted), so a blocked tile needs no distance, and a path
+			// through one is no path.
+			if b.hc[v] == ep || (blocked != nil && blocked[v] && v != head) {
+				continue
+			}
+			b.armRelax++
+			d := du + ws.edgeCostMemo(g, int(edges[x]), nil, b.pen, b.lw)
+			if b.hs[v] != ep || d < b.hd[v] {
+				b.hs[v] = ep
+				b.hd[v] = d
+				q = heapPushPQ(q, pqItem{v, d + b.lb(g, v)}) //rabid:allow allocfree amortized grow path: the reverse queue reallocates only until the workspace has seen the largest grid
 			}
 		}
 	}
+	b.rq = q
+	return true
 }
 
 // astarManh returns the Manhattan distance from tile t to the nearest
@@ -389,16 +456,4 @@ func (ws *Workspace) astarHR(v int, ec float64) float64 {
 		return 0
 	}
 	return h
-}
-
-// astarHPath is the BufferAwarePath heuristic for tile t: the exact
-// relaxed-metric distance armed by astarArmPath. Consistency of that
-// metric (see astarArmPath) means the first head-state pop carries the
-// exact same optimal distance the heap kernel returns.
-func (ws *Workspace) astarHPath(t int) float64 {
-	a := &ws.astar
-	if a.hs[t] != ws.epoch {
-		return math.Inf(1) // the head is unreachable from t
-	}
-	return a.hd[t]
 }

@@ -215,7 +215,7 @@ func TestAstarCostIdenticalSuite(t *testing.T) {
 func bapCost(t *testing.T, g *tile.Graph, tail, head geom.Pt, L int, opt Options) float64 {
 	t.Helper()
 	ws := NewWorkspace()
-	if _, err := BufferAwarePath(g, tail, head, L, nil, opt, ws); err != nil {
+	if _, err := BufferAwarePath(g, tail, head, L, nil, nil, opt, ws); err != nil {
 		t.Fatal(err)
 	}
 	base := g.TileIndex(head) * L
@@ -316,7 +316,7 @@ func TestAstarBoundAdmissible(t *testing.T) {
 			nbrs, edges := g.Adjacency(it.node)
 			for x, v32 := range nbrs {
 				v := int(v32)
-				if d := it.key + edgeCost(g, int(edges[x]), opt); d < dist[v] {
+				if d := it.key + edgeCost(g, int(edges[x]), opt.Weight, opt.OverflowPenalty, opt.LengthWeight); d < dist[v] {
 					dist[v] = d
 					q.pushItem(pqItem{v, d})
 				}

@@ -62,37 +62,62 @@ func DefaultOptions() Options {
 	return Options{Alpha: 0.4, LengthWeight: 0.05, OverflowPenalty: 1e6}
 }
 
-// edgeCost returns the finite routing cost for edge e.
-func edgeCost(g *tile.Graph, e int, opt Options) float64 {
+// edgeCost returns the finite routing cost for edge e: the congestion cost
+// of Eq. (1) (or weight(e) when non-nil), clamped at the overflow penalty
+// pen, plus the length weight lw.
+func edgeCost(g *tile.Graph, e int, weight func(int) float64, pen, lw float64) float64 {
 	var c float64
-	if opt.Weight != nil {
-		c = opt.Weight(e)
+	if weight != nil {
+		c = weight(e)
 	} else {
 		c = g.WireCost(e)
 	}
-	if c > opt.OverflowPenalty {
-		c = opt.OverflowPenalty
+	if c > pen {
+		c = pen
 	}
-	return c + opt.LengthWeight
+	return c + lw
 }
 
 // edgeCostMemo is edgeCost with a per-call memo: within one kernel call the
 // congestion state of g is static (a net's own wires are removed before it
 // reroutes), so every evaluation of an edge yields the same value and the
-// first one can be cached under the call's epoch. memo is false under
-// Options.Weight — a caller-supplied cost function may close over state the
-// workspace cannot see.
-func (ws *Workspace) edgeCostMemo(g *tile.Graph, e int, opt Options, memo bool) float64 {
-	if memo {
-		if ws.ecStamp[e] == ws.epoch {
-			return ws.ec[e]
-		}
-		c := edgeCost(g, e, opt)
+// first one can be cached under the call's epoch. A non-nil weight is
+// never memoized — a caller-supplied cost function may close over state
+// the workspace cannot see — so a call under a weight stamps no entry
+// with its epoch and the hit test needs no weight check. The cost
+// parameters travel as scalars, not as an Options copy, and the hit path
+// is small enough to inline.
+func (ws *Workspace) edgeCostMemo(g *tile.Graph, e int, weight func(int) float64, pen, lw float64) float64 {
+	if ws.ecStamp[e] == ws.epoch {
+		return ws.ec[e]
+	}
+	return ws.edgeCostMiss(g, e, weight, pen, lw)
+}
+
+// edgeCostMiss is edgeCostMemo's miss path: evaluate, and memoize unless
+// weight is set.
+func (ws *Workspace) edgeCostMiss(g *tile.Graph, e int, weight func(int) float64, pen, lw float64) float64 {
+	c := edgeCost(g, e, weight, pen, lw)
+	if weight == nil {
 		ws.ecStamp[e] = ws.epoch
 		ws.ec[e] = c
-		return c
 	}
-	return edgeCost(g, e, opt)
+	return c
+}
+
+// checkWeights rejects router cost weights outside their domain. A
+// negative, NaN or +Inf length weight or overflow penalty makes edge costs
+// negative or non-finite, and a wavefront under negative costs re-pushes
+// labels without bound until memory runs out; the Stage-4 bound's
+// exactness argument also needs every cost to be non-negative.
+func checkWeights(opt Options) error {
+	if !(opt.LengthWeight >= 0) || math.IsInf(opt.LengthWeight, 1) {
+		return fmt.Errorf("route: LengthWeight %g must be finite and >= 0", opt.LengthWeight) //rabid:allow allocfree cold abort path: fmt argument boxing only on invalid input
+	}
+	if !(opt.OverflowPenalty >= 0) || math.IsInf(opt.OverflowPenalty, 1) {
+		return fmt.Errorf("route: OverflowPenalty %g must be finite and >= 0", opt.OverflowPenalty) //rabid:allow allocfree cold abort path: fmt argument boxing only on invalid input
+	}
+	return nil
 }
 
 // Reroute computes a fresh route tree for the net on the current congestion
@@ -105,6 +130,9 @@ func (ws *Workspace) edgeCostMemo(g *tile.Graph, e int, opt Options, memo bool) 
 // allowed (a private workspace is allocated). With a warmed workspace and a
 // nil observer the call performs no allocations.
 func Reroute(g *tile.Graph, n *netlist.Net, opt Options, ws *Workspace) (*rtree.Tree, error) {
+	if err := checkWeights(opt); err != nil {
+		return nil, err
+	}
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -159,7 +187,7 @@ func Reroute(g *tile.Graph, n *netlist.Net, opt Options, ws *Workspace) (*rtree.
 	ws.pathCost[srcIdx] = 0
 	ws.done[srcIdx] = false
 	ws.qPush(pqItem{srcIdx, 0}) // sole item: its priority never competes
-	memo := opt.Weight == nil
+	weight, pen, lw := opt.Weight, opt.OverflowPenalty, opt.LengthWeight
 	tally := opt.Obs != nil // counter bookkeeping only when someone listens
 	pops, pushes, relaxations := 0, 0, 0
 	if tally {
@@ -196,7 +224,7 @@ func Reroute(g *tile.Graph, n *netlist.Net, opt Options, ws *Workspace) (*rtree.
 			if tally {
 				relaxations++
 			}
-			ec := ws.edgeCostMemo(g, int(edges[x]), opt, memo)
+			ec := ws.edgeCostMemo(g, int(edges[x]), weight, pen, lw)
 			if k := base + ec; k < ws.key[v] {
 				ws.key[v] = k
 				ws.pathCost[v] = pcu + ec
@@ -496,11 +524,11 @@ func wireHeat(g *tile.Graph, heat []float64) []float64 {
 }
 
 // siteCostClamped is the Eq. (2) site cost with the router's overflow
-// clamp applied.
-func siteCostClamped(g *tile.Graph, v int, opt Options) float64 {
+// clamp pen applied.
+func siteCostClamped(g *tile.Graph, v int, pen float64) float64 {
 	c := g.SiteCost(v)
-	if c > opt.OverflowPenalty {
-		c = opt.OverflowPenalty
+	if c > pen {
+		c = pen
 	}
 	return c
 }
@@ -521,10 +549,24 @@ func siteCostClamped(g *tile.Graph, v int, opt Options) float64 {
 // available to (w, j') at no greater cost; the pruning changes no result
 // (see DESIGN.md, "Search kernels").
 //
+// incumbent, when non-nil, is a known tail-to-head tile path the search
+// could take — the ripped two-path itself in Stage 4. Its cheapest
+// buffering is an upper bound U on the optimum, and a move into tile w is
+// dropped when the cost so far plus w's edge-only distance to the head
+// (from a reverse tile search run on demand, see armStart) exceeds U. The
+// pop order is untouched and the bound changes no result, only the work
+// (DESIGN.md, "Search kernels"); useBound says when it pays. An incumbent
+// that is not a tail-to-head path of adjacent, enterable tiles is an
+// error. nil runs the unbounded search; a non-nil Options.Weight ignores
+// the incumbent, since custom costs carry no sign guarantee.
+//
 // ws supplies the reusable (tile, j) state arrays; nil is allowed. The
 // returned path aliases the workspace's traceback buffer and is valid only
 // until the workspace's next use — callers that keep paths must copy.
-func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, opt Options, ws *Workspace) ([]geom.Pt, error) {
+func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, incumbent []geom.Pt, opt Options, ws *Workspace) ([]geom.Pt, error) {
+	if err := checkWeights(opt); err != nil {
+		return nil, err
+	}
 	if ws == nil {
 		ws = NewWorkspace()
 	}
@@ -550,9 +592,26 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 	if err != nil {
 		return nil, err
 	}
+	weight, pen, lw := opt.Weight, opt.OverflowPenalty, opt.LengthWeight
+	// ub is the padded incumbent bound, +Inf when unbounded (see
+	// useBound). The reverse tile search runs whenever something reads
+	// it: the bound, or the astar kernel's heuristic.
+	ub := math.Inf(1)
+	if incumbent != nil && weight == nil {
+		u, err := ws.incumbentBound(g, incumbent, tail, headIdx, L, blocked, pen, lw)
+		if err != nil {
+			return nil, err
+		}
+		if useBound(u, L, pen, kern) {
+			ub = u
+		}
+	}
+	bounded := ub < math.Inf(1)
 	ws.qReset(kern, g, opt)
-	if kern == kAstar {
-		ws.astarArmPath(g, headIdx, blocked, opt)
+	if bounded || kern == kAstar {
+		ws.armStart(g, headIdx, g.TileIndex(tail), pen, lw, kern != kAstar)
+	} else {
+		ws.bnd.armPops, ws.bnd.armRelax = 0, 0
 	}
 	start := g.TileIndex(tail) * L // state (tail, 0)
 	ws.sStamp[start] = ep
@@ -561,17 +620,10 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 	ws.sDone[start] = false
 	ws.qPush(pqItem{start, 0}) // sole item: its priority never competes
 	goal := -1
-	memo := opt.Weight == nil
 	tally := opt.Obs != nil
 	pops, pushes, relaxations := 0, 0, 0
 	if tally {
 		pushes = 1
-		if kern == kAstar {
-			// The arming reverse Dijkstra is real queue work; charging it
-			// here keeps the per-kernel pops/relaxations comparison honest.
-			pops += ws.astar.armPops
-			relaxations += ws.astar.armRelax
-		}
 	}
 	for ws.qLen() > 0 {
 		it := ws.qPop()
@@ -601,10 +653,22 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 			if tally {
 				relaxations++
 			}
-			wc := ws.edgeCostMemo(g, int(edges[x]), opt, memo)
+			wc := ws.edgeCostMemo(g, int(edges[x]), weight, pen, lw)
+			// hd(w) lower-bounds the rest of both moves into w, so one
+			// test drops both when the bound rules w out, and a tile that
+			// cannot reach the head is dropped the same way. hw is the
+			// astar key's heuristic.
 			var hw float64
-			if kern == kAstar {
-				hw = ws.astarHPath(w)
+			if bounded || kern == kAstar {
+				if !ws.armReach(g, blocked, headIdx, w, ub-(ds+wc)) {
+					continue
+				}
+				if kern == kAstar {
+					hw = ws.bnd.hd[w]
+				}
+				if ds+wc+ws.bnd.hd[w]*boundScale > ub {
+					continue
+				}
 			}
 			// Advance without buffering.
 			if j+1 < L {
@@ -631,12 +695,12 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 				ws.sDist[ns] = math.Inf(1)
 				ws.sDone[ns] = false
 			}
-			// Site costs are positive, so an offer whose wire part alone
-			// cannot beat the label skips the Eq. (2) evaluation.
+			// Site costs are non-negative, so an offer whose wire part
+			// alone cannot beat the label skips the Eq. (2) evaluation.
 			if ds+wc >= ws.sDist[ns] {
 				continue
 			}
-			if nd := ds + wc + siteCostClamped(g, w, opt); nd < ws.sDist[ns] {
+			if nd := ds + wc + siteCostClamped(g, w, pen); nd < ws.sDist[ns] {
 				ws.sDist[ns] = nd
 				//rabid:allow narrowcast s < nt*L, guarded against MaxInt32 at function entry
 				ws.sPred[ns] = int32(s)
@@ -648,6 +712,10 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 		}
 	}
 	if tally {
+		// The reverse search is real queue work; charging it here keeps
+		// the per-kernel pops/relaxations comparison honest.
+		pops += ws.bnd.armPops
+		relaxations += ws.bnd.armRelax
 		obs.Emit(opt.Obs, obs.Event{Kind: obs.KindCounter, Scope: "route.bap.pops", Stage: opt.Stage, Net: -1, Value: float64(pops)})
 		obs.Emit(opt.Obs, obs.Event{Kind: obs.KindCounter, Scope: "route.bap.pushes", Stage: opt.Stage, Net: -1, Value: float64(pushes)})
 		obs.Emit(opt.Obs, obs.Event{Kind: obs.KindCounter, Scope: "route.bap.relaxations", Stage: opt.Stage, Net: -1, Value: float64(relaxations)})
@@ -665,6 +733,90 @@ func BufferAwarePath(g *tile.Graph, tail, head geom.Pt, L int, blocked []bool, o
 	ws.path = rev
 	// rev is head..tail already (we traced from the head state back).
 	return rev, nil
+}
+
+// Float margins of the incumbent bound. The search sums a path's costs
+// tail first, the reverse arming sums them head first and the DP once
+// more in the search's own order, so the same path's cost can differ in
+// the last bits between them. boundScale shrinks the lower bounds by a
+// relative 1e-12 and boundPad widens U by 1e-9·(1+U); both dwarf the
+// rounding error of any path that fits in an int32 state space, so no
+// label on a path costing at most the optimum is ever dropped.
+const (
+	boundScale = 1 - 1e-12
+	boundPad   = 1e-9
+)
+
+// minBoundL is the smallest length constraint at which the heap and dial
+// kernels prune by the incumbent bound. The reverse search costs about one
+// pop per tile it closes while the bound saves pops per (tile, j) state,
+// and below this L a tile has too few states to pay: on the coarse suite
+// grids (L = 2 on every net) the bound cut forward pops by a third but
+// the reverse search added more than that back, for no wall-clock gain,
+// while at the paper grids (L = 5 and 6) it cuts all pops by a quarter
+// (EXPERIMENTS.md, "Stage-4 incumbent bound").
+const minBoundL = 3
+
+// useBound reports whether a call prunes by the padded incumbent bound u.
+// An incumbent that pays the overflow penalty — it crosses a full edge,
+// or a stretch with no free buffer site — bounds nothing a penalty-free
+// reconnection could cost, and arming up to such a bound would close
+// nearly every tile of the grid. The astar kernel runs the reverse search
+// anyway, so there the bound is pure gain at every L.
+func useBound(u float64, L int, pen float64, kern kernelID) bool {
+	if u >= pen {
+		return false
+	}
+	return L >= minBoundL || kern == kAstar
+}
+
+// incumbentBound returns the padded upper bound U on BufferAwarePath's
+// optimum from a known path inc (tail first, head last): the cheapest
+// buffering of that fixed tile sequence, by a DP over j along the path
+// with the search's own transitions and cost expressions in the same
+// association order, so U is the exact cost the search itself would
+// assign that path's best labeling. O(len(inc)·L), on workspace scratch.
+func (ws *Workspace) incumbentBound(g *tile.Graph, inc []geom.Pt, tail geom.Pt, headIdx, L int, blocked []bool, pen, lw float64) (float64, error) {
+	if len(inc) == 0 || inc[0] != tail || !g.InGrid(inc[len(inc)-1]) || g.TileIndex(inc[len(inc)-1]) != headIdx {
+		return 0, fmt.Errorf("route: incumbent does not run from tail %v to head %v", tail, g.TileAt(headIdx)) //rabid:allow allocfree cold abort path: fmt argument boxing only on invalid input
+	}
+	b := &ws.bnd
+	if cap(b.dp) < 2*L {
+		b.dp = make([]float64, 2*L) //rabid:allow allocfree cold grow path: the DP rows reallocate only until the workspace has seen the largest L
+	}
+	cur, nxt := b.dp[:L], b.dp[L:2*L]
+	cur[0] = 0
+	for j := 1; j < L; j++ {
+		cur[j] = math.Inf(1)
+	}
+	for k := 1; k < len(inc); k++ {
+		e, ok := g.EdgeBetween(inc[k-1], inc[k])
+		if !ok {
+			return 0, fmt.Errorf("route: incumbent step %v-%v is not a grid edge", inc[k-1], inc[k]) //rabid:allow allocfree cold abort path: fmt argument boxing only on invalid input
+		}
+		w := g.TileIndex(inc[k])
+		if blocked != nil && blocked[w] && w != headIdx {
+			return 0, fmt.Errorf("route: incumbent enters blocked tile %v", inc[k]) //rabid:allow allocfree cold abort path: fmt argument boxing only on invalid input
+		}
+		wc := ws.edgeCostMemo(g, e, nil, pen, lw)
+		sc := siteCostClamped(g, w, pen)
+		best := math.Inf(1)
+		for j, d := range cur {
+			if j+1 < L {
+				nxt[j+1] = d + wc
+			}
+			if c := d + wc + sc; c < best {
+				best = c
+			}
+		}
+		nxt[0] = best
+		cur, nxt = nxt, cur
+	}
+	u := cur[0]
+	for _, d := range cur[1:] {
+		u = math.Min(u, d)
+	}
+	return u + boundPad*(1+u), nil
 }
 
 // bapDominated reports whether a label at distance d for state row+j is

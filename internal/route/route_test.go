@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -216,7 +217,7 @@ func TestBufferAwarePathStraight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := BufferAwarePath(g, geom.Pt{X: 9, Y: 5}, geom.Pt{X: 0, Y: 5}, 4, nil, DefaultOptions(), nil)
+	path, err := BufferAwarePath(g, geom.Pt{X: 9, Y: 5}, geom.Pt{X: 0, Y: 5}, 4, nil, nil, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestBufferAwarePathAvoidsSitelessCorridor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, err := BufferAwarePath(g, geom.Pt{X: 11, Y: 0}, geom.Pt{X: 0, Y: 0}, 2, nil, DefaultOptions(), nil)
+	path, err := BufferAwarePath(g, geom.Pt{X: 11, Y: 0}, geom.Pt{X: 0, Y: 0}, 2, nil, nil, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,22 +270,83 @@ func TestBufferAwarePathRespectsBlocked(t *testing.T) {
 		blocked[g.TileIndex(geom.Pt{X: x, Y: 1})] = true // wall across the middle
 	}
 	// Tail below the wall, head above: impossible without entering blocked.
-	if _, err := BufferAwarePath(g, geom.Pt{X: 3, Y: 0}, geom.Pt{X: 3, Y: 2}, 3, blocked, DefaultOptions(), nil); err == nil {
+	if _, err := BufferAwarePath(g, geom.Pt{X: 3, Y: 0}, geom.Pt{X: 3, Y: 2}, 3, blocked, nil, DefaultOptions(), nil); err == nil {
 		t.Error("blocked wall should make head unreachable")
 	}
 	// Head on the wall itself is allowed (endpoint exemption).
-	if _, err := BufferAwarePath(g, geom.Pt{X: 3, Y: 0}, geom.Pt{X: 3, Y: 1}, 3, blocked, DefaultOptions(), nil); err != nil {
+	if _, err := BufferAwarePath(g, geom.Pt{X: 3, Y: 0}, geom.Pt{X: 3, Y: 1}, 3, blocked, nil, DefaultOptions(), nil); err != nil {
 		t.Errorf("head exemption failed: %v", err)
 	}
 }
 
 func TestBufferAwarePathBadArgs(t *testing.T) {
 	g := grid(t, 4, 4, 2)
-	if _, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 3}, 0, nil, DefaultOptions(), nil); err == nil {
+	if _, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 3}, 0, nil, nil, DefaultOptions(), nil); err == nil {
 		t.Error("L=0 accepted")
 	}
-	if _, err := BufferAwarePath(g, geom.Pt{X: 9, Y: 9}, geom.Pt{}, 2, nil, DefaultOptions(), nil); err == nil {
+	if _, err := BufferAwarePath(g, geom.Pt{X: 9, Y: 9}, geom.Pt{}, 2, nil, nil, DefaultOptions(), nil); err == nil {
 		t.Error("off-grid tail accepted")
+	}
+	// Incumbents that are not tail-to-head paths the search could take.
+	tail, head := geom.Pt{}, geom.Pt{X: 2}
+	blocked := make([]bool, g.NumTiles())
+	blocked[g.TileIndex(geom.Pt{X: 1, Y: 1})] = true
+	for _, inc := range [][]geom.Pt{
+		{},               // empty
+		{{X: 1}, {X: 2}}, // wrong tail
+		{{}, {X: 1}},     // wrong head
+		{{}, {X: 2}},     // not a grid edge
+		{{}, {Y: 1}, {X: 1, Y: 1}, {X: 2, Y: 1}, {X: 2}}, // enters a blocked tile
+		{{}, {X: 1}, {X: 2}, {X: 2, Y: 9}},               // leaves the grid
+	} {
+		if _, err := BufferAwarePath(g, tail, head, 2, blocked, inc, DefaultOptions(), nil); err == nil {
+			t.Errorf("incumbent %v accepted", inc)
+		}
+	}
+	if _, err := BufferAwarePath(g, tail, head, 2, blocked, []geom.Pt{{}, {X: 1}, {X: 2}}, DefaultOptions(), nil); err != nil {
+		t.Errorf("valid incumbent rejected: %v", err)
+	}
+}
+
+// TestRouterRejectsBadWeights is the router's own backstop for the cost
+// weights core.Params.Validate checks: a negative, NaN or +Inf length
+// weight or overflow penalty reaching Reroute or BufferAwarePath directly
+// is an error, not an unbounded wavefront (negative edge costs re-push
+// labels until memory runs out) or a wrong route.
+func TestRouterRejectsBadWeights(t *testing.T) {
+	g := grid(t, 4, 4, 2)
+	n := mkNet(0, geom.Pt{}, geom.Pt{X: 3, Y: 3})
+	for _, tc := range []struct {
+		field string
+		set   func(o *Options)
+	}{
+		{"LengthWeight", func(o *Options) { o.LengthWeight = -1 }},
+		{"LengthWeight", func(o *Options) { o.LengthWeight = math.NaN() }},
+		{"LengthWeight", func(o *Options) { o.LengthWeight = math.Inf(1) }},
+		{"OverflowPenalty", func(o *Options) { o.OverflowPenalty = -1 }},
+		{"OverflowPenalty", func(o *Options) { o.OverflowPenalty = math.NaN() }},
+		{"OverflowPenalty", func(o *Options) { o.OverflowPenalty = math.Inf(1) }},
+	} {
+		for _, kernel := range Kernels() {
+			opt := DefaultOptions()
+			opt.Kernel = kernel
+			tc.set(&opt)
+			if _, err := Reroute(g, n, opt, nil); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("Reroute[%s] %s: err %v, want an error naming the field", kernel, tc.field, err)
+			}
+			if _, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 3, Y: 3}, 3, nil, nil, opt, nil); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("BufferAwarePath[%s] %s: err %v, want an error naming the field", kernel, tc.field, err)
+			}
+		}
+	}
+	// The domain edges are legal.
+	opt := DefaultOptions()
+	opt.LengthWeight, opt.OverflowPenalty = 0, 0
+	if _, err := Reroute(g, n, opt, nil); err != nil {
+		t.Errorf("zero weights rejected by Reroute: %v", err)
+	}
+	if _, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 3, Y: 3}, 3, nil, nil, opt, nil); err != nil {
+		t.Errorf("zero weights rejected by BufferAwarePath: %v", err)
 	}
 }
 
@@ -300,11 +362,11 @@ func TestBufferAwarePathStateOverflowGuard(t *testing.T) {
 	if int64(4)*int64(overL) != int64(math.MaxInt32)+1 {
 		t.Fatalf("bad boundary arithmetic: 4*%d", overL)
 	}
-	if _, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 1}, overL, nil, DefaultOptions(), nil); err == nil {
+	if _, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 1}, overL, nil, nil, DefaultOptions(), nil); err == nil {
 		t.Fatal("state space of MaxInt32+1 accepted; int32 predecessors would overflow")
 	}
 	// A two-path under the same options but a sane L still routes.
-	path, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 1}, 4, nil, DefaultOptions(), nil)
+	path, err := BufferAwarePath(g, geom.Pt{}, geom.Pt{X: 1}, 4, nil, nil, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatalf("sane L rejected: %v", err)
 	}

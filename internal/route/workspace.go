@@ -61,9 +61,11 @@ type Workspace struct {
 	q    []pqItem
 	kern kernelID
 
-	// Dial bucket-queue and A*-heuristic state (see kernel.go).
+	// Dial bucket-queue, A*-heuristic and Stage-4 bound state (see
+	// kernel.go).
 	dial  dialState
 	astar astarState
+	bnd   boundState
 
 	// (tile, j) search state, one entry per state (BufferAwarePath).
 	sStamp []uint64

@@ -463,6 +463,9 @@ func TestPlanBackendBadRequests(t *testing.T) {
 		{"negative overflow penalty", `,"params":{"route_overflow_penalty":-1}`},
 		{"alpha above 1", `,"params":{"alpha":1.5}`},
 		{"negative route alpha", `,"params":{"route_alpha":-0.1}`},
+		{"negative calibration target", `,"params":{"target_stage1_avg":-0.25}`},
+		{"negative capacity", `,"params":{"capacity":-1}`},
+		{"capacity past int32", `,"params":{"capacity":2147483648}`},
 	}
 	for _, tc := range cases {
 		body := planBody(t, c, tc.extra)

@@ -395,20 +395,22 @@ func (g *Graph) Clone() *Graph {
 // CalibrateCapacity returns a uniform edge capacity such that the average
 // congestion of the given per-edge usage equals roughly targetAvg. The paper
 // never tabulates W(e); this calibration reproduces its observed Stage-1
-// average congestion band (see DESIGN.md). The result is always >= 1.
+// average congestion band (see DESIGN.md). The result is always in
+// [1, math.MaxInt32]: a tiny target would otherwise ask for a capacity past
+// any int, and the float-to-int conversion would wrap it to a small one.
 func CalibrateCapacity(use []int, numEdges int, targetAvg float64) int {
-	if numEdges <= 0 || targetAvg <= 0 {
+	if numEdges <= 0 || !(targetAvg > 0) {
 		return 1
 	}
 	total := 0
 	for _, u := range use {
 		total += u
 	}
-	c := int(math.Ceil(float64(total) / (float64(numEdges) * targetAvg)))
-	if c < 1 {
-		c = 1
+	q := math.Ceil(float64(total) / (float64(numEdges) * targetAvg))
+	if !(q < math.MaxInt32) {
+		return math.MaxInt32
 	}
-	return c
+	return max(int(q), 1)
 }
 
 // UsageSnapshot returns a copy of the per-edge usage, for calibration.

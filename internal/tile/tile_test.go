@@ -320,6 +320,17 @@ func TestCalibrateCapacity(t *testing.T) {
 	if got := CalibrateCapacity(use, 0, 0.3); got != 1 {
 		t.Errorf("degenerate edges should give 1, got %d", got)
 	}
+	// A vanishing target asks for a capacity past any int; the result is
+	// clamped, not wrapped to a small capacity by the float-to-int
+	// conversion (1e-300 used to return 1).
+	for _, target := range []float64{1e-300, math.SmallestNonzeroFloat64, 1e-9} {
+		if got := CalibrateCapacity(use, 10, target); got != math.MaxInt32 {
+			t.Errorf("CalibrateCapacity(target %g) = %d, want %d", target, got, math.MaxInt32)
+		}
+	}
+	if got := CalibrateCapacity(use, 10, math.NaN()); got != 1 {
+		t.Errorf("NaN target should give 1, got %d", got)
+	}
 }
 
 func TestUsageSnapshotIndependent(t *testing.T) {

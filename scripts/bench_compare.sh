@@ -21,6 +21,9 @@
 #   scripts/bench_compare.sh                 # write BENCH_route.new.json, compare
 #   scripts/bench_compare.sh -update        # refresh the checked-in baseline
 #   BENCHTIME=0.2s scripts/bench_compare.sh # shorter timed run (CI)
+#   BENCHCOUNT=5 scripts/bench_compare.sh   # 5 samples per route benchmark:
+#                                           # rows record the median, n and
+#                                           # the ns/op range
 #
 # The allocation contracts are gated by tests
 # (internal/route/alloc_test.go), which `go test ./...` already runs.
@@ -30,6 +33,7 @@ cd "$(dirname "$0")/.."
 
 baseline=BENCH_route.json
 benchtime=${BENCHTIME:-1s}
+count=${BENCHCOUNT:-1}
 suite_benchtime=${SUITE_BENCHTIME:-1x}
 update=0
 [ "${1:-}" = "-update" ] && update=1
@@ -39,13 +43,13 @@ trap 'rm -rf "$workdir"' EXIT
 
 go build -o "$workdir/benchjson" ./cmd/benchjson
 
-echo "== route microbenchmarks (benchtime=$benchtime)" >&2
+echo "== route microbenchmarks (benchtime=$benchtime, count=$count)" >&2
 go test -run '^$' -bench 'BenchmarkReroute$|BenchmarkRipupPass$|BenchmarkBufferAwarePath$' \
-  -benchmem -benchtime "$benchtime" ./internal/route | tee "$workdir/bench.txt" >&2
+  -benchmem -benchtime "$benchtime" -count "$count" ./internal/route | tee "$workdir/bench.txt" >&2
 
-echo "== search-kernel matrix (benchtime=$benchtime)" >&2
+echo "== search-kernel matrix (benchtime=$benchtime, count=$count)" >&2
 go test -run '^$' -bench 'BenchmarkRerouteKernel$|BenchmarkRerouteKernelAlpha1$|BenchmarkBufferAwarePathKernel$' \
-  -benchmem -benchtime "$benchtime" ./internal/route | tee -a "$workdir/bench.txt" >&2
+  -benchmem -benchtime "$benchtime" -count "$count" ./internal/route | tee -a "$workdir/bench.txt" >&2
 
 echo "== end-to-end suite benchmark (benchtime=$suite_benchtime)" >&2
 go test -run '^$' -bench 'BenchmarkRunSuite$|BenchmarkRunSuiteSteiner$' \
